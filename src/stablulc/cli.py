@@ -14,6 +14,7 @@ import argparse
 import sys
 from datetime import datetime, timezone
 
+from . import __version__
 from .embedding import parse_graph
 from .errors import StablulcError
 from .factory import (BUILTIN_CODES, encode_pair, enumerate_lengths,
@@ -25,8 +26,6 @@ from .oracle import ORACLE_MAX_QUBITS, dlc_feasible, parse_quadratic_form
 from .pauli import parse_stabilizer
 from .surface import (build_code, build_state, grid_minimality_certificate,
                       lulc_certificate)
-
-VERSION = "0.1.0"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -222,7 +221,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.stamp:
         now = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        print(f"# stablulc {VERSION} | {now} | {args.command}",
+        print(f"# stablulc {__version__} | {now} | {args.command}",
               file=sys.stderr)
     try:
         return args.func(args)

@@ -13,7 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import FormatError, PreconditionError
+from .errors import FormatError, PreconditionError, invariant
 from .gf2 import BitMatrix, BitVector, Span, invert, nullspace, rref
 
 Half = tuple[str, int]
@@ -132,9 +132,9 @@ class EmbeddedGraph:
             raise PreconditionError("genus requires a connected graph")
         f = len(self.trace_faces()) if self.edges else 1
         euler = self.num_vertices - self.num_edges + f
-        assert euler % 2 == 0, "odd Euler characteristic"
+        invariant(euler % 2 == 0, "odd Euler characteristic")
         g = (2 - euler) // 2
-        assert g >= 0
+        invariant(g >= 0, "negative genus")
         return g
 
     def dual(self) -> "EmbeddedGraph":
@@ -286,14 +286,15 @@ class EmbeddedGraph:
         x_reps = _quotient_reps(self.cocycle_space(),
                                 self.incidence_matrix().row_ints())
         k = len(z_reps)
-        assert len(x_reps) == k == 2 * self.embedding_genus()
+        invariant(len(x_reps) == k == 2 * self.embedding_genus(),
+                  "homology ranks do not match the genus")
         if k == 0:
             return ()
         pairing = BitMatrix(k, tuple(
             BitVector.from_bits([(x & z).bit_count() & 1 for z in z_reps])
             for x in x_reps))
         inv = invert(pairing)
-        assert inv is not None, "degenerate intersection pairing"
+        invariant(inv is not None, "degenerate intersection pairing")
         pairs = []
         for j in range(k):
             zj = 0

@@ -31,3 +31,17 @@ class CapExceeded(StablulcError):
 
 class PreconditionError(StablulcError):
     """The input violates a documented precondition of the operation."""
+
+
+class InvariantError(StablulcError, AssertionError):
+    """An internal invariant of a certificate or construction failed.
+
+    Raised by ``invariant`` rather than by ``assert`` so the check also
+    runs under ``python -O``.
+    """
+
+
+def invariant(condition: bool, message: str) -> None:
+    """Raise InvariantError(message) unless condition holds."""
+    if not condition:
+        raise InvariantError(message)

@@ -16,9 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .caps import enum_cap
-from .errors import CapExceeded, FormatError, PreconditionError
-from .gf2 import BitMatrix, BitVector, row_space_contains, rref
+from .errors import CapExceeded, FormatError, PreconditionError, invariant
+from .gf2 import BitMatrix, BitVector, row_space_contains, rref, span_elements
 from .oracle import (ORACLE_MAX_QUBITS, PHASE_TOL, DenseState,
                      DiagonalLocalUnitary, QuadraticFormState, apply_dlu,
                      dlc_feasible, format_quadratic_form,
@@ -51,19 +50,16 @@ class CssCode:
 
     def codewords_c(self):
         """All elements of C, as ints."""
-        cur = 0
-        yield 0
-        for i in range(1, 1 << self.dim_c):
-            cur ^= self.c_mat.rows[(i & -i).bit_length() - 1].bits
-            yield cur
+        return span_elements(self.c_mat.row_ints())
 
 
-def _coset_weights(code: CssCode) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _coset_weights(c_mat: BitMatrix, x_e: BitVector
+                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Weights occurring in C and in the coset X_e + C = D \\ C."""
     wc, w1 = set(), set()
-    for c in code.codewords_c():
+    for c in span_elements(c_mat.row_ints()):
         wc.add(c.bit_count())
-        w1.add((c ^ code.x_e.bits).bit_count())
+        w1.add((c ^ x_e.bits).bit_count())
     return tuple(sorted(wc)), tuple(sorted(w1))
 
 
@@ -72,10 +68,12 @@ def make_css_code(name: str, m: int, c_rows, d_rows, x_e: BitVector,
                   expected_distance: int | None = None) -> CssCode:
     """Validate the classical pair and measure both distances exactly.
 
-    The X distance is the minimum weight over D \\ C (direct coset
-    enumeration); the Z distance is the smallest weight of a vector
-    orthogonal to C with odd overlap with X_e (searched in increasing
-    weight).  When z_e is omitted the first Z-distance witness is kept.
+    The X distance is the minimum weight over D \\ C, which the checks
+    (C < D, X_e in D \\ C, one more dimension) make the coset X_e + C,
+    a walk over 2^dim C words; the Z distance is the smallest weight of
+    a vector orthogonal to C with odd overlap with X_e (searched in
+    increasing weight).  When z_e is omitted the first Z-distance
+    witness is kept.
     """
     c_mat, rank_c, _ = rref(BitMatrix(m, tuple(c_rows)))
     d_mat, rank_d, _ = rref(BitMatrix(m, tuple(d_rows)))
@@ -86,21 +84,7 @@ def make_css_code(name: str, m: int, c_rows, d_rows, x_e: BitVector,
             raise PreconditionError("C must be a subcode of D")
     if not row_space_contains(d_mat, x_e) or row_space_contains(c_mat, x_e):
         raise PreconditionError("X_e must lie in D but not in C")
-    if 1 << rank_d > enum_cap(None):
-        raise CapExceeded("codeword enumeration exceeds cap")
-
-    d_x = m + 1
-    coset_size = 0
-    cur = 0
-    words = [0]
-    for i in range(1, 1 << rank_d):
-        cur ^= d_mat.rows[(i & -i).bit_length() - 1].bits
-        words.append(cur)
-    for w in words:
-        if not row_space_contains(c_mat, BitVector(m, w)):
-            coset_size += 1
-            d_x = min(d_x, w.bit_count())
-    assert coset_size == (1 << rank_d) - (1 << rank_c)
+    d_x = _coset_weights(c_mat, x_e)[1][0]
 
     d_z = None
     witness = None
@@ -113,7 +97,7 @@ def make_css_code(name: str, m: int, c_rows, d_rows, x_e: BitVector,
                 break
         if d_z is not None:
             break
-    assert d_z is not None, "Z side has no logical representative"
+    invariant(d_z is not None, "Z side has no logical representative")
 
     if z_e is None:
         z_e = witness
@@ -203,7 +187,7 @@ def transversal_diag_action(code: CssCode, theta: float,
     exactly when e^{i theta w} is constant over the weights w of C and,
     separately, of D \\ C; the two constants differ by e^{i phi}.
     """
-    wc, w1 = _coset_weights(code)
+    wc, w1 = _coset_weights(code.c_mat, code.x_e)
 
     def constant(ws):
         return all(abs(_cis(theta * (w - ws[0])) - 1.0) <= tol for w in ws)
@@ -399,8 +383,9 @@ class LengthPlan:
     n: int
 
     def __post_init__(self):
-        assert self.n == BASE_LENGTH + STEP_15 * self.i \
-            + STEP_31 * self.j + STEP_2 * self.t
+        invariant(self.n == BASE_LENGTH + STEP_15 * self.i
+                  + STEP_31 * self.j + STEP_2 * self.t,
+                  "plan lengths do not add up to n")
 
     @property
     def distance_class(self) -> str:

@@ -4,15 +4,17 @@ Vectors and matrices are bit-packed into Python integers, so every
 operation here is exact.  Bit i of a vector's integer is coordinate i.
 The Z4 solver handles the zero divisors that make mod-4 systems unlike
 field systems: unit pivots are eliminated first and the leftover all-even
-rows become exact GF(2) constraints after halving.
+rows become exact GF(2) constraints after halving.  Every enumeration
+of a span in the package runs on the one Gray-code walk here, which
+enforces the enumeration cap.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import FormatError
+from .caps import enum_cap
+from .errors import CapExceeded, FormatError, invariant
 
 
 @dataclass(frozen=True)
@@ -137,10 +139,6 @@ class BitMatrix:
     def identity(n: int) -> "BitMatrix":
         return BitMatrix(n, tuple(BitVector(n, 1 << i) for i in range(n)))
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "BitMatrix":
-        return BitMatrix(cols, tuple(BitVector.zeros(cols) for _ in range(rows)))
-
     @property
     def num_rows(self) -> int:
         return len(self.rows)
@@ -159,11 +157,6 @@ class BitMatrix:
             self.num_rows,
             tuple(BitVector.from_bits([r[c] for r in self.rows])
                   for c in range(self.cols)))
-
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        if other.cols != self.cols:
-            raise ValueError("cols mismatch")
-        return BitMatrix(self.cols, self.rows + other.rows)
 
     def delete_column(self, c: int) -> "BitMatrix":
         keep = [i for i in range(self.cols) if i != c]
@@ -275,6 +268,40 @@ class Span:
         return len(self.rows)
 
 
+def gray_steps(k: int, cap: int | None = None):
+    """Row indices toggled by the Gray-code walk over a k-row span.
+
+    The walk starts at the zero combination and reaches all 2^k, each
+    step toggling the row at the lowest set bit of the step number.
+    Callers that carry state (a sign, a form value) fold over these
+    indices.  The cap is checked here, before the first step.
+    """
+    limit = enum_cap(cap)
+    if 1 << k > limit:
+        raise CapExceeded(f"enumerating 2^{k} elements exceeds the cap of"
+                          f" {limit} (STABLULC_ENUM_CAP)")
+    return ((m & -m).bit_length() - 1 for m in range(1, 1 << k))
+
+
+def span_elements(rows: list[int], cap: int | None = None):
+    """Yield every combination of the packed rows, zero first, Gray order."""
+    steps = gray_steps(len(rows), cap)
+    cur = 0
+    yield cur
+    for i in steps:
+        cur ^= rows[i]
+        yield cur
+
+
+def minimal_supports(masks) -> list[int]:
+    """The inclusion-minimal nonzero masks, in (weight, value) order."""
+    minimal: list[int] = []
+    for s in sorted({s for s in masks if s}, key=lambda s: (s.bit_count(), s)):
+        if not any(t & s == t for t in minimal):
+            minimal.append(s)
+    return minimal
+
+
 def invert(m: BitMatrix) -> BitMatrix | None:
     """Inverse of a square matrix, or None when singular."""
     n = m.cols
@@ -286,7 +313,8 @@ def invert(m: BitMatrix) -> BitMatrix | None:
         return None
     mask = (1 << n) - 1
     inv_rows = [BitVector(n, r >> n) for r in out]
-    assert all((r & mask) == (1 << c) for r, c in zip(out, pivots))
+    invariant(all((r & mask) == (1 << c) for r, c in zip(out, pivots)),
+              "inverse rows do not reduce to the identity")
     return BitMatrix(n, tuple(inv_rows))
 
 
@@ -317,24 +345,6 @@ def symplectic_product(a: BitVector, b: BitVector) -> int:
     ax, az = a.bits & mask, a.bits >> n
     bx, bz = b.bits & mask, b.bits >> n
     return ((ax & bz).bit_count() + (az & bx).bit_count()) & 1
-
-
-@dataclass(frozen=True)
-class Mod4System:
-    """Linear system over Z4 whose coefficients happen to lie in {0,1}.
-
-    Rows of ``coeffs`` are the equations' coefficient vectors; ``targets``
-    holds the right-hand sides in Z4.
-    """
-
-    coeffs: BitMatrix
-    targets: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.targets) != self.coeffs.num_rows:
-            raise ValueError("one target per row required")
-        if any(t not in (0, 1, 2, 3) for t in self.targets):
-            raise ValueError("targets must be in Z4")
 
 
 class Mod4Eliminator:
@@ -450,36 +460,6 @@ class Mod4Eliminator:
                     val -= r[i] * a[i]
             a[c] = val & 3
         return a
-
-
-def solve_mod4(system: Mod4System) -> list[int] | None:
-    """Solve coeffs @ a = targets over Z4; None when infeasible.
-
-    Exact: a returned assignment satisfies every equation, and None is
-    only returned when no assignment exists.
-    """
-    elim = Mod4Eliminator(system.coeffs.cols)
-    for row, t in zip(system.coeffs.rows, system.targets):
-        if not elim.add(row.bits, t):
-            return None
-    a = elim.solution()
-    if a is not None:
-        for row, t in zip(system.coeffs.rows, system.targets):
-            s = sum(a[i] for i in row.support()) & 3
-            assert s == t & 3, "internal solver error"
-    return a
-
-
-def all_subspace_elements(basis: BitMatrix):
-    """Yield every GF(2) combination of the basis rows (2^k vectors)."""
-    k = basis.num_rows
-    ints = basis.row_ints()
-    for combo in itertools.product((0, 1), repeat=k):
-        v = 0
-        for c, r in zip(combo, ints):
-            if c:
-                v ^= r
-        yield BitVector(basis.cols, v)
 
 
 def parse_matrix(text: str) -> BitMatrix:

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import embedding
-from .caps import enum_cap
-from .errors import CapExceeded, FormatError, PreconditionError
-from .gf2 import (BitMatrix, BitVector, Span, nullspace, parse_matrix,
-                  row_space_contains, rref)
+from .errors import CapExceeded, FormatError, PreconditionError, invariant
+from .gf2 import (BitMatrix, BitVector, Span, minimal_supports, nullspace,
+                  parse_matrix, row_space_contains, rref, span_elements)
 
 ISO_CAP = 12
 MINOR_CAP = 15
@@ -129,23 +128,9 @@ class BinaryMatroid:
 
     def circuits(self, cap: int | None = None) -> tuple[frozenset[int], ...]:
         """Inclusion-minimal dependent sets, as column-index sets."""
-        kernel = nullspace(self.representation)
-        k = kernel.num_rows
-        limit = enum_cap(cap)
-        if 1 << k > limit:
-            raise CapExceeded(f"2^{k} kernel elements exceed cap {limit}")
-        supports = set()
-        cur = 0
-        for m in range(1, 1 << k):
-            cur ^= kernel.rows[(m & -m).bit_length() - 1].bits
-            supports.add(cur)
-        masks = sorted(supports, key=lambda s: (s.bit_count(), s))
-        minimal: list[int] = []
-        for s in masks:
-            if not any(t & s == t for t in minimal):
-                minimal.append(s)
+        kernel = nullspace(self.representation).row_ints()
         return tuple(frozenset(BitVector(self.size, m).support())
-                     for m in minimal)
+                     for m in minimal_supports(span_elements(kernel, cap)))
 
 
 # -- isomorphism --------------------------------------------------------------
@@ -284,10 +269,9 @@ def excluded_minor_catalog() -> ExcludedMinorCatalog:
     mk33 = BinaryMatroid(k33.incidence_matrix(), k33.edge_order())
     cat = ExcludedMinorCatalog(f7, f7.dual(), mk5, mk5.dual(),
                                mk33, mk33.dual())
-    assert (cat.f7.rank, cat.f7.size) == (3, 7)
-    assert (cat.f7_dual.rank, cat.f7_dual.size) == (4, 7)
-    assert (cat.mk5.rank, cat.mk5.size) == (4, 10)
-    assert (cat.mk33.rank, cat.mk33.size) == (5, 9)
+    shapes = [(m.rank, m.size) for m in (f7, cat.f7_dual, mk5, mk33)]
+    invariant(shapes == [(3, 7), (4, 7), (4, 10), (5, 9)],
+              f"excluded-minor catalog has wrong (rank, size): {shapes}")
     return cat
 
 
@@ -361,7 +345,7 @@ def minor_closure_check(g: embedding.EmbeddedGraph, e: str,
                 raise PreconditionError(
                     "chosen cocycle through a loop cannot be re-routed")
             c = c ^ g.star(u)
-            assert not c[col]
+            invariant(not c[col], "re-routed cocycle still uses the edge")
         routed.append(c)
     m = surface_code_matroid(g, chosen_cocycles)
 
@@ -396,16 +380,8 @@ class ScreenResult:
 
 
 def _min_weight(m: BitMatrix, cap: int | None) -> int:
-    k = m.num_rows
-    limit = enum_cap(cap)
-    if 1 << k > limit:
-        raise CapExceeded(f"2^{k} codewords exceed cap {limit}")
-    best = m.cols + 1
-    cur = 0
-    for i in range(1, 1 << k):
-        cur ^= m.rows[(i & -i).bit_length() - 1].bits
-        best = min(best, cur.bit_count())
-    return best
+    return min((w.bit_count() for w in span_elements(m.row_ints(), cap) if w),
+               default=m.cols + 1)
 
 
 def css_counterexample_screen(g_mat: BitMatrix, h_mat: BitMatrix,

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .caps import enum_cap
-from .errors import CapExceeded, FormatError, PreconditionError
-from .gf2 import (BitMatrix, BitVector, Mod4Eliminator, nullspace, rref,
-                  solve)
+from .errors import FormatError, PreconditionError, invariant
+from .gf2 import (BitMatrix, BitVector, Mod4Eliminator, gray_steps,
+                  nullspace, rref, solve)
 from .pauli import PauliOperator, StabilizerGroup
 
 ORACLE_MAX_QUBITS = 20
@@ -82,12 +81,22 @@ class QuadraticFormState:
     def dim(self) -> int:
         return self.basis.num_rows
 
-    def _sym_masks(self) -> list[int]:
-        masks = [0] * self.n
+    def _polar_masks(self, rows: list[int]) -> list[int]:
+        """Per packed row r, the mask p with B(x, r) = parity(x & p).
+
+        B is the polarization q(x + r) - q(x) - q(r) of the form.
+        """
+        sym = [0] * self.n
         for i, j in self.coeffs:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return masks
+            sym[i] |= 1 << j
+            sym[j] |= 1 << i
+        out = []
+        for r in rows:
+            p = 0
+            for j in BitVector(self.n, r).support():
+                p ^= sym[j]
+            out.append(p)
+        return out
 
     def q(self, x: BitVector | int) -> int:
         """Evaluate the form at x (0/1 result)."""
@@ -99,24 +108,16 @@ class QuadraticFormState:
 
     def elements(self, cap: int | None = None):
         """All subspace elements as (bits, q value), Gray-code order."""
-        k = self.dim
-        limit = enum_cap(cap)
-        if 1 << k > limit:
-            raise CapExceeded(f"subspace has 2^{k} elements; cap is {limit}")
-        sym = self._sym_masks()
+        steps = gray_steps(self.dim, cap)
         rows = self.basis.row_ints()
         row_q = [self.q(r) for r in rows]
+        polar = self._polar_masks(rows)
         x, qx = 0, 0
         yield x, qx
-        for m in range(1, 1 << k):
-            i = (m & -m).bit_length() - 1
-            r = rows[i]
+        for i in steps:
             # q(x + r) = q(x) + q(r) + B(x, r) with B the polarization.
-            b = 0
-            for j in BitVector(self.n, r).support():
-                b ^= (x & sym[j]).bit_count() & 1
-            qx ^= row_q[i] ^ b
-            x ^= r
+            qx ^= row_q[i] ^ ((x & polar[i]).bit_count() & 1)
+            x ^= rows[i]
             yield x, qx
 
     def canonical_basis(self) -> BitMatrix:
@@ -199,25 +200,22 @@ def state_from_stabilizer(group: StabilizerGroup) -> DenseState:
     for g in group.generators:
         amps = (amps + _apply_pauli_raw(g, amps)) / 2.0
     norm = np.linalg.norm(amps)
-    assert norm > 1e-9, "projector annihilated the seed basis state"
+    invariant(norm > 1e-9, "projector annihilated the seed basis state")
     return DenseState(n, amps / norm)
 
 
 def _support_point(group: StabilizerGroup) -> BitVector:
     """A basis state with nonzero amplitude: solve the Z-only constraints."""
     xmat = BitMatrix(group.n, tuple(g.x for g in group.generators))
-    coeffs = nullspace(xmat.transpose())
     rows, rhs = [], []
-    for c in coeffs.rows:
-        g = PauliOperator.identity(group.n)
-        for i in c.support():
-            g = g * group.generators[i]
+    for c in nullspace(xmat.transpose()).rows:
+        g = group.product(c)
         rows.append(g.z)
         rhs.append(0 if g.sign == 1 else 1)
     if not rows:
         return BitVector.zeros(group.n)
     sol = solve(BitMatrix(group.n, tuple(rows)), BitVector.from_bits(rhs))
-    assert sol is not None, "inconsistent Z constraints in a valid group"
+    invariant(sol is not None, "inconsistent Z constraints in a valid group")
     return sol
 
 
@@ -228,14 +226,11 @@ def stabilizer_from_quadratic_form(qf: QuadraticFormState) -> StabilizerGroup:
     dual space of S contributes plain Z generators.
     """
     n = qf.n
-    sym = qf._sym_masks()
+    rows = qf.basis.row_ints()
     gens = []
-    for r in qf.basis.rows:
-        zmask = 0
-        for j in r.support():
-            zmask ^= sym[j]
+    for r, zmask in zip(rows, qf._polar_masks(rows)):
         phase = 2 * qf.q(r)  # (-1)^q(r) = i^(2 q(r))
-        gens.append(PauliOperator.from_xz_phase(n, r.bits, zmask, phase))
+        gens.append(PauliOperator.from_xz_phase(n, r, zmask, phase))
     for v in nullspace(qf.basis).rows:
         gens.append(PauliOperator(n, BitVector.zeros(n), v))
     return StabilizerGroup(n, gens)

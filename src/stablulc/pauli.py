@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .caps import enum_cap
-from .errors import CapExceeded, FormatError
-from .gf2 import BitMatrix, BitVector, nullspace, rank, symplectic_product
+from .errors import FormatError, PreconditionError
+from .gf2 import (BitMatrix, BitVector, gray_steps, minimal_supports,
+                  nullspace, rank, symplectic_product)
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _LETTER_BITS = {v: k for k, v in _LETTERS.items()}
@@ -102,9 +102,6 @@ class PauliOperator:
         return PauliOperator(self.n, BitVector(self.n, x), BitVector(self.n, z),
                              sign)
 
-    def negate(self) -> "PauliOperator":
-        return PauliOperator(self.n, self.x, self.z, -self.sign)
-
     def to_string(self) -> str:
         body = "".join(self.letter(i) for i in range(self.n))
         return ("+" if self.sign == 1 else "-") + body
@@ -149,18 +146,22 @@ class StabilizerGroup:
 
     def enumerate_elements(self, cap: int | None = None):
         """Yield all 2^dim elements, identity first, in Gray-code order."""
-        k = self.dim
-        limit = enum_cap(cap)
-        if 1 << k > limit:
-            raise CapExceeded(f"group has 2^{k} elements; cap is {limit}")
+        steps = gray_steps(self.dim, cap)
         cur = PauliOperator.identity(self.n)
         yield cur
-        for m in range(1, 1 << k):
-            cur = cur * self.generators[(m & -m).bit_length() - 1]
+        for i in steps:
+            cur = cur * self.generators[i]
             yield cur
 
     def elements(self, cap: int | None = None) -> list[PauliOperator]:
         return list(self.enumerate_elements(cap))
+
+    def product(self, coeffs: BitVector) -> PauliOperator:
+        """Product of the generators selected by the coefficient vector."""
+        g = PauliOperator.identity(self.n)
+        for i in coeffs.support():
+            g = g * self.generators[i]
+        return g
 
     def _outside_matrix(self, omega) -> BitMatrix:
         """Generators' (x | z) rows masked to coordinates outside omega."""
@@ -186,13 +187,7 @@ class StabilizerGroup:
         if not self.generators:
             return StabilizerGroup(self.n, ())
         coeffs = nullspace(self._outside_matrix(omega).transpose())
-        gens = []
-        for c in coeffs.rows:
-            g = PauliOperator.identity(self.n)
-            for i in c.support():
-                g = g * self.generators[i]
-            gens.append(g)
-        return StabilizerGroup(self.n, gens)
+        return StabilizerGroup(self.n, [self.product(c) for c in coeffs.rows])
 
     def distance(self, cap: int | None = None) -> int:
         """Minimum weight over non-identity elements (enumerative)."""
@@ -229,19 +224,14 @@ class StabilizerGroup:
                 return False, (i, j)
         return True, None
 
-    def minimal_elements(self, cap: int | None = None) -> "MinimalElementReport":
-        """All elements of minimal (nonempty, inclusion-minimal) support."""
+    def minimal_elements(self, cap: int | None = None
+                         ) -> tuple[PauliOperator, ...]:
+        """Elements of inclusion-minimal nonempty support, sorted by sort_key."""
         supports: dict[int, list[PauliOperator]] = {}
         for g in self.enumerate_elements(cap):
-            if not g.is_identity():
-                supports.setdefault(g.support_mask(), []).append(g)
-        minimal_masks: list[int] = []
-        for mask in sorted(supports, key=lambda m: (m.bit_count(), m)):
-            if not any(s & mask == s for s in minimal_masks):
-                minimal_masks.append(mask)
-        elems = [g for m in minimal_masks for g in supports[m]]
-        elems.sort(key=PauliOperator.sort_key)
-        return MinimalElementReport(self.n, tuple(elems))
+            supports.setdefault(g.support_mask(), []).append(g)
+        elems = [g for m in minimal_supports(supports) for g in supports[m]]
+        return tuple(sorted(elems, key=PauliOperator.sort_key))
 
     def css_split(self) -> tuple["StabilizerGroup", "StabilizerGroup"] | None:
         """(X-type subgroup, Z-type subgroup) when they generate S, else None."""
@@ -253,15 +243,8 @@ class StabilizerGroup:
         z_coeffs = nullspace(xmat.transpose())
         if x_coeffs.num_rows + z_coeffs.num_rows != self.dim:
             return None
-        def build(coeffs):
-            gens = []
-            for c in coeffs.rows:
-                g = PauliOperator.identity(self.n)
-                for i in c.support():
-                    g = g * self.generators[i]
-                gens.append(g)
-            return StabilizerGroup(self.n, gens)
-        return build(x_coeffs), build(z_coeffs)
+        return tuple(StabilizerGroup(self.n, [self.product(c) for c in m.rows])
+                     for m in (x_coeffs, z_coeffs))
 
     def is_css(self) -> bool:
         return self.css_split() is not None
@@ -273,13 +256,18 @@ class StabilizerGroup:
         CERTIFIED when the state is free of Bell pairs and X, Y and Z all
         occur on every qubit within the group generated by minimal-support
         elements.  ``minimal_elems`` may supply externally proven minimal
-        elements as a fast path; otherwise they are enumerated.
+        elements as a fast path; otherwise they are enumerated.  The
+        theorem is about states, so the group must have full rank.
         """
+        if self.dim != self.n:
+            raise PreconditionError(
+                f"the minimal-support certificate needs a state:"
+                f" {self.dim} generators on {self.n} qubits")
         free, witness = self.is_bell_pair_free()
         if not free:
             return MscCertificate("INCONCLUSIVE", "bell_pair", witness, ())
         if minimal_elems is None:
-            minimal_elems = self.minimal_elements(cap).elements
+            minimal_elems = self.minimal_elements(cap)
         letters = _letters_of_generated_group(self.n, minimal_elems)
         for q, ls in enumerate(letters):
             if ls != frozenset("XYZ"):
@@ -306,27 +294,6 @@ def _letters_of_generated_group(n: int,
 
 
 @dataclass(frozen=True)
-class MinimalElementReport:
-    """Minimal-support elements, canonically sorted by (x, z, sign)."""
-
-    n: int
-    elements: tuple[PauliOperator, ...]
-
-    @property
-    def supports(self) -> tuple[tuple[int, ...], ...]:
-        seen: list[tuple[int, ...]] = []
-        for g in self.elements:
-            s = g.support()
-            if s not in seen:
-                seen.append(s)
-        return tuple(sorted(seen))
-
-    @property
-    def covered_letters(self) -> tuple[frozenset[str], ...]:
-        return _letters_of_generated_group(self.n, self.elements)
-
-
-@dataclass(frozen=True)
 class MscCertificate:
     """Outcome of the minimal-support check.
 
@@ -348,10 +315,11 @@ class MscCertificate:
         if self.certified:
             return f"CERTIFIED theorem=msc details=qubits={len(self.letters)}"
         return (f"INCONCLUSIVE theorem=msc reason={self.reason}"
-                f" witness={_fmt_witness(self.witness)}")
+                f" witness={format_witness(self.witness)}")
 
 
-def _fmt_witness(w) -> str:
+def format_witness(w) -> str:
+    """A witness as printed in verdict lines: tuples as (a,b,...)."""
     if isinstance(w, tuple):
         return "(" + ",".join(str(p) for p in w) + ")"
     return str(w)

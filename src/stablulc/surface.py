@@ -11,14 +11,13 @@ states.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
 from .embedding import EmbeddedGraph
-from .errors import PreconditionError
+from .errors import PreconditionError, invariant
 from .gf2 import BitMatrix, BitVector, Span, nullspace, row_space_contains
-from .pauli import MinimalElementReport, PauliOperator, StabilizerGroup
+from .pauli import PauliOperator, StabilizerGroup, format_witness
 
 
 def _x_on(n: int, bits: int) -> PauliOperator:
@@ -55,9 +54,6 @@ class SurfaceCode:
 
     def face_operator(self, index: int) -> PauliOperator:
         return _z_on(self.n, self.graph.face_matrix().rows[index].bits)
-
-    def all_site_operators(self) -> dict[str, PauliOperator]:
-        return {v: self.site_operator(v) for v in self.graph.vertices}
 
     def all_face_operators(self) -> dict[int, PauliOperator]:
         rows = self.graph.face_matrix().rows
@@ -102,12 +98,14 @@ def build_code(g: EmbeddedGraph) -> SurfaceCode:
 
     for xo, zo in pairs:
         for s in stabilizer.generators:
-            assert xo.commutes_with(s) and zo.commutes_with(s)
+            invariant(xo.commutes_with(s) and zo.commutes_with(s),
+                      "logical operator anticommutes with a generator")
     for i, (xi, _) in enumerate(pairs):
         for j, (_, zj) in enumerate(pairs):
-            assert xi.commutes_with(zj) == (i != j)
-    if not has_loops:
-        assert stabilizer.dim == n - 2 * genus
+            invariant(xi.commutes_with(zj) == (i != j),
+                      "logical pairs are not symplectically paired")
+    invariant(has_loops or stabilizer.dim == n - 2 * genus,
+              "stabilizer dimension is not n - 2 * genus")
 
     return SurfaceCode(g, g.edge_order(), stabilizer, tuple(site_vertices),
                        tuple(face_indices), tuple(pairs), genus, has_loops)
@@ -183,11 +181,13 @@ class MinimalDecomposition:
         for p in self.parts:
             union |= p.support_mask()
             if self.kind == "site":
-                assert p.z.is_zero(), "site parts must be X-only"
+                invariant(p.z.is_zero(), "site parts must be X-only")
             else:
-                assert p.x.is_zero(), "face parts must be Z-only"
-        assert union == self.operator.support_mask()
-        assert all(c == 1 for c in self.uniqueness_counts)
+                invariant(p.x.is_zero(), "face parts must be Z-only")
+        invariant(union == self.operator.support_mask(),
+                  "parts do not cover the operator's support")
+        invariant(all(c == 1 for c in self.uniqueness_counts),
+                  "a part's support carries more than one element")
 
 
 def _require_girth_hypothesis(g: EmbeddedGraph) -> tuple[float, float]:
@@ -214,14 +214,8 @@ def _peel_minimal(group: StabilizerGroup, op: PauliOperator, want_x: bool,
     while not remainder.is_identity():
         omega = remainder.support()
         sub = group.subgroup_supported_in(omega)
-        cands = [h for h in sub.elements(cap) if not h.is_identity()]
-        masks = {h.support_mask() for h in cands}
-        minimal_masks = {
-            m for m in masks
-            if not any(s != m and s & m == s for s in masks)}
-        pool = [h for h in cands
-                if h.support_mask() in minimal_masks
-                and (h.z.is_zero() if want_x else h.x.is_zero())]
+        pool = [h for h in sub.minimal_elements(cap)
+                if (h.z.is_zero() if want_x else h.x.is_zero())]
         if not pool:
             raise PreconditionError(
                 f"no pure-type minimal element inside {omega}")
@@ -306,10 +300,8 @@ def lulc_certificate(state: SurfaceCodeState,
     if cogirth < 3:
         return fail(f"cogirth={_fmt(cogirth)}")
     decos = minimal_decompositions(code, group=state.group, cap=cap)
-    parts = sorted({p for d in decos for p in d.parts},
-                   key=PauliOperator.sort_key)
-    report = MinimalElementReport(code.n, tuple(parts))
-    msc = state.group.msc_certificate(minimal_elems=report.elements, cap=cap)
+    parts = {p for d in decos for p in d.parts}
+    msc = state.group.msc_certificate(minimal_elems=parts, cap=cap)
     if not msc.certified:
         return fail(f"msc:{msc.reason}")
     return SurfaceCertificate("CERTIFIED", None, code.n, code.genus,
@@ -462,13 +454,7 @@ class GridCertificate:
             return (f"CERTIFIED theorem=grid details=rows={self.rows},"
                     f"cols={self.cols},qubits={self.rows * self.cols}")
         return (f"FAILED theorem=grid reason={self.reason}"
-                f" witness={_fmt_witness(self.witness)}")
-
-
-def _fmt_witness(w) -> str:
-    if isinstance(w, tuple):
-        return "(" + ",".join(str(p) for p in w) + ")"
-    return str(w)
+                f" witness={format_witness(self.witness)}")
 
 
 def grid_minimality_certificate(rows: int, cols: int,
@@ -477,31 +463,23 @@ def grid_minimality_certificate(rows: int, cols: int,
 
     Any group element supported inside supp(K_v) can only use generators
     K_x with x in the closed neighbourhood of v (its X part equals the
-    generator-index set), so enumerating those 2^(1+deg) products is a
-    complete minimality test.  With all generators minimal, Bell-freedom
-    plus full letter coverage certifies LU = LC.
+    generator-index set), so enumerating those 2^(1+deg) products (under
+    the enumeration cap) is a complete minimality test.  With all
+    generators minimal, Bell-freedom plus full letter coverage certifies
+    LU = LC.
     """
     group = grid_cluster_state(rows, cols)
     n = rows * cols
-    nbars = []
-    for v in range(n):
-        nbars.append([v] + [u for u in range(n)
-                            if group.generators[v].z[u]])
-    for v in range(n):
-        kv_mask = group.generators[v].support_mask()
-        for r in range(1, len(nbars[v]) + 1):
-            for combo in itertools.combinations(nbars[v], r):
-                h = PauliOperator.identity(n)
-                for u in combo:
-                    h = h * group.generators[u]
-                m = h.support_mask()
-                if m and m != kv_mask and m & kv_mask == m:
-                    return GridCertificate("FAILED",
-                                           "nonminimal_generator",
-                                           v, rows, cols)
-    report = MinimalElementReport(
-        n, tuple(sorted(group.generators, key=PauliOperator.sort_key)))
-    msc = group.msc_certificate(minimal_elems=report.elements, cap=cap)
+    for v, kv in enumerate(group.generators):
+        kv_mask = kv.support_mask()
+        nbar = StabilizerGroup(n, [group.generators[u] for u in range(n)
+                                   if u == v or kv.z[u]])
+        for h in nbar.enumerate_elements(cap):
+            m = h.support_mask()
+            if m and m != kv_mask and m & kv_mask == m:
+                return GridCertificate("FAILED", "nonminimal_generator",
+                                       v, rows, cols)
+    msc = group.msc_certificate(minimal_elems=group.generators, cap=cap)
     if not msc.certified:
         return GridCertificate("FAILED", msc.reason, msc.witness, rows, cols)
     return GridCertificate("CERTIFIED", None, None, rows, cols)

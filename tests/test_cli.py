@@ -57,6 +57,7 @@ def files(tmp_path):
                    "2\n10\n01\nq:\n1 2\ndlu: 0 0\n")
     put("rep2.code", format_css_code(rep2()))
     put("feasible.qf", "2\n11\nq:\n1 2\n")
+    put("code422.stab", "+XXXX\n+ZZZZ\n")
     put("cz.qf", "2\n10\n01\nq:\n1 2\n")
     d["dir"] = tmp_path
     return d
@@ -79,6 +80,14 @@ def test_analyze_state(files, capsys):
     assert code == 2
     assert out == ("INCONCLUSIVE theorem=msc reason=bell_pair"
                    " witness=(0,1)\n")
+
+
+def test_analyze_state_requires_a_state(files, capsys):
+    # The [[4,2,2]] code has 2 generators on 4 qubits: not a state, so
+    # the minimal-support theorem does not apply and nothing is certified.
+    code, out, err = run(capsys, "analyze-state", files["code422.stab"])
+    assert code == 1 and out == ""
+    assert "error:" in err and "state" in err
 
 
 def test_surface_certify(files, capsys):
@@ -106,6 +115,19 @@ def test_grid_certify(files, capsys):
     code, out, _ = run(capsys, "grid-certify", "--rows", "1", "--cols", "2")
     assert code == 2
     assert out == "FAILED theorem=grid reason=bell_pair witness=(0,1)\n"
+
+
+def test_grid_certify_honours_enum_cap(files, capsys, monkeypatch):
+    # Interior vertex 6 of the 5x5 grid has 2^5 = 32 neighbourhood products.
+    monkeypatch.setenv("STABLULC_ENUM_CAP", "16")
+    code, out, err = run(capsys, "grid-certify", "--rows", "5", "--cols", "5")
+    assert code == 1 and out == ""
+    assert "error:" in err and "cap of 16" in err
+
+    monkeypatch.setenv("STABLULC_ENUM_CAP", "32")
+    code, out, _ = run(capsys, "grid-certify", "--rows", "5", "--cols", "5")
+    assert code == 0
+    assert out == "CERTIFIED theorem=grid details=rows=5,cols=5,qubits=25\n"
 
 
 # -- matroid commands ---------------------------------------------------------------
@@ -250,11 +272,14 @@ def test_repeated_runs_are_byte_identical(files, capsys):
     assert len(outs) == 1
 
 
-def test_enum_cap_env(files, capsys, monkeypatch):
-    monkeypatch.setenv("STABLULC_ENUM_CAP", "4")
+@pytest.mark.parametrize("value", ["4", "0", "-3", "many"])
+def test_enum_cap_env(files, capsys, monkeypatch, value):
+    # 4 is too small for ring5's 2^5 elements; the others are not caps.
+    monkeypatch.setenv("STABLULC_ENUM_CAP", value)
     code, _, err = run(capsys, "analyze-state", files["ring5.stab"])
     assert code == 1
     assert "error:" in err and "cap" in err
+    assert "STABLULC_ENUM_CAP" in err
 
 
 def test_argument_errors_exit_one(files, capsys):

@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stablulc.errors import FormatError
-from stablulc.gf2 import (BitMatrix, BitVector, Mod4System, Span,
+from stablulc.gf2 import (BitMatrix, BitVector, Mod4Eliminator, Span,
                           format_matrix, invert, nullspace, parse_matrix,
-                          rank, row_space_contains, rref, solve, solve_mod4,
+                          rank, row_space_contains, rref, solve,
                           symplectic_product)
 
 
@@ -159,13 +159,21 @@ def test_symplectic_product_is_bilinear(a, b, c):
 
 # -- Z4 elimination ------------------------------------------------------------
 
-def _brute_mod4(system: Mod4System):
-    n = system.coeffs.cols
+def _brute_mod4(n, rows, targets):
     for assign in itertools.product(range(4), repeat=n):
         if all(sum(assign[j] * row[j] for j in range(n)) % 4 == t
-               for row, t in zip(system.coeffs.rows, system.targets)):
+               for row, t in zip(rows, targets)):
             return assign
     return None
+
+
+def _solve_mod4(n, rows, targets):
+    """Feed coeffs @ a = targets to the eliminator one row at a time."""
+    elim = Mod4Eliminator(n)
+    for row, t in zip(rows, targets):
+        if not elim.add(row.bits, t):
+            return None
+    return elim.solution()
 
 
 @given(st.data())
@@ -175,25 +183,20 @@ def test_solve_mod4_agrees_with_brute_force(data):
     rows = tuple(BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
                  for _ in range(nrows))
     targets = tuple(data.draw(st.integers(0, 3)) for _ in range(nrows))
-    system = Mod4System(BitMatrix(n, rows), targets)
-    got = solve_mod4(system)
-    brute = _brute_mod4(system)
+    got = _solve_mod4(n, rows, targets)
+    brute = _brute_mod4(n, rows, targets)
     assert (got is None) == (brute is None)
     if got is not None:
-        for row, t in zip(system.coeffs.rows, system.targets):
+        for row, t in zip(rows, targets):
             assert sum(a * row[j] for j, a in enumerate(got)) % 4 == t
 
 
 def test_solve_mod4_known_cases():
     # x0 + x1 = 2, x1 = 1  ->  x = (1, 1)
-    system = Mod4System(BitMatrix(2, (BitVector(2, 0b11), BitVector(2, 0b10))),
-                        (2, 1))
-    a = solve_mod4(system)
+    a = _solve_mod4(2, (BitVector(2, 0b11), BitVector(2, 0b10)), (2, 1))
     assert (a[0] + a[1]) % 4 == 2 and a[1] % 4 == 1
     # x0 = 1 and x0 = 3 cannot both hold
-    system = Mod4System(BitMatrix(1, (BitVector(1, 1), BitVector(1, 1))),
-                        (1, 3))
-    assert solve_mod4(system) is None
+    assert _solve_mod4(1, (BitVector(1, 1), BitVector(1, 1)), (1, 3)) is None
 
 
 # -- text format ----------------------------------------------------------------

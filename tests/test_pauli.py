@@ -166,10 +166,10 @@ def test_minimal_elements_match_brute_force(seed):
     masks = {g.support_mask() for g in group.elements()} - {0}
     minimal = {m for m in masks
                if not any(s != m and s & m == s for s in masks)}
-    report = group.minimal_elements()
-    assert {g.support_mask() for g in report.elements} == minimal
+    elems = group.minimal_elements()
+    assert {g.support_mask() for g in elems} == minimal
     # canonically sorted, and every element's support is minimal
-    keys = [g.sort_key() for g in report.elements]
+    keys = [g.sort_key() for g in elems]
     assert keys == sorted(keys)
 
 
@@ -206,7 +206,7 @@ def test_msc_certificate_verdicts():
 
 def test_msc_accepts_external_minimal_elements():
     ring5 = graph_group(5, [(i, (i + 1) % 5) for i in range(5)])
-    elems = ring5.minimal_elements().elements
+    elems = ring5.minimal_elements()
     assert ring5.msc_certificate(minimal_elems=elems).certified
 
 

@@ -1,12 +1,16 @@
 """Surface codes and grid cluster states: certificates and decompositions."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from stablulc.embedding import (EmbeddedGraph, complete_graph, double_edge,
-                                toric_grid)
+                                format_graph, toric_grid)
 from stablulc.errors import PreconditionError
 from stablulc.oracle import state_from_stabilizer
 from stablulc.pauli import PauliOperator
@@ -206,3 +210,42 @@ def test_graph_state_group_shape():
     assert group.dim == 4
     for g in group.generators:
         assert g.x.weight() == 1
+
+
+# -- checks under python -O ----------------------------------------------------
+
+_OPTIMIZED_SCRIPT = textwrap.dedent("""
+    import sys
+    from stablulc.cli import main
+    from stablulc.errors import InvariantError
+    from stablulc.pauli import PauliOperator
+    from stablulc.surface import MinimalDecomposition
+    print("debug", __debug__)
+    main(["surface-certify", sys.argv[1]])
+    op = PauliOperator.from_string("XXI")
+    try:   # the part misses qubit 1, so the parts do not cover op
+        MinimalDecomposition("site", "v", op,
+                             (PauliOperator.from_string("XII"),), (1,))
+    except InvariantError as exc:
+        print("raised:", exc)
+""")
+
+
+def test_invariants_survive_python_optimize(tmp_path):
+    path = tmp_path / "toric.graph"
+    path.write_text(format_graph(toric_grid(3, 3)), encoding="ascii")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT,
+                           str(path)], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug False",
+        "CERTIFIED theorem=surfaceCode details=qubits=18,genus=1,l=0,"
+        "girth=3,cogirth=3",
+        "raised: parts do not cover the operator's support",
+    ]
