@@ -132,10 +132,6 @@ class BitMatrix:
         return BitMatrix(rows[0].length, rows)
 
     @staticmethod
-    def from_strings(rows) -> "BitMatrix":
-        return BitMatrix.from_rows(BitVector.from_string(r) for r in rows)
-
-    @staticmethod
     def identity(n: int) -> "BitMatrix":
         return BitMatrix(n, tuple(BitVector(n, 1 << i) for i in range(n)))
 
@@ -268,6 +264,20 @@ class Span:
         return len(self.rows)
 
 
+def left_kernel(rows: list[int], width: int) -> list[int]:
+    """Canonical basis of the coefficient masks c whose rows XOR to zero.
+
+    Bit i of c selects rows[i], a packed row of ``width`` bits.  Each row
+    is tagged with bit width + i and eliminated once; the reduced rows
+    whose low ``width`` bits vanish carry the kernel in their tags.  The
+    result is the rref basis, sorted by pivot, so it equals the nullspace
+    of the transposed matrix.
+    """
+    span = Span(r | 1 << (width + i) for i, r in enumerate(rows))
+    return [r >> width for c, r in sorted(zip(span.pivots, span.rows))
+            if c >= width]
+
+
 def gray_steps(k: int, cap: int | None = None):
     """Row indices toggled by the Gray-code walk over a k-row span.
 
@@ -331,20 +341,6 @@ def solve(m: BitMatrix, target: BitVector) -> BitVector | None:
         if (p >> m.cols) & 1:
             x |= 1 << c
     return BitVector(m.cols, x)
-
-
-def symplectic_product(a: BitVector, b: BitVector) -> int:
-    """a_x . b_z + a_z . b_x mod 2 for vectors laid out as (x | z).
-
-    Zero exactly when the corresponding Pauli operators commute.
-    """
-    if a.length != b.length or a.length % 2:
-        raise ValueError("symplectic vectors must share an even length")
-    n = a.length // 2
-    mask = (1 << n) - 1
-    ax, az = a.bits & mask, a.bits >> n
-    bx, bz = b.bits & mask, b.bits >> n
-    return ((ax & bz).bit_count() + (az & bx).bit_count()) & 1
 
 
 class Mod4Eliminator:

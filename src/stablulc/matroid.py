@@ -241,10 +241,6 @@ class ExcludedMinorCatalog:
     def graphic_excluded(self) -> tuple[BinaryMatroid, ...]:
         return (self.f7, self.f7_dual, self.mk5_dual, self.mk33_dual)
 
-    @property
-    def cographic_excluded(self) -> tuple[BinaryMatroid, ...]:
-        return (self.f7, self.f7_dual, self.mk5, self.mk33)
-
     def named(self) -> dict[str, BinaryMatroid]:
         return {"F7": self.f7, "F7*": self.f7_dual,
                 "MK5": self.mk5, "MK5*": self.mk5_dual,

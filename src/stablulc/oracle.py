@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FormatError, PreconditionError, invariant
 from .gf2 import (BitMatrix, BitVector, Mod4Eliminator, gray_steps,
-                  nullspace, rref, solve)
+                  left_kernel, nullspace, rref, solve)
 from .pauli import PauliOperator, StabilizerGroup
 
 ORACLE_MAX_QUBITS = 20
@@ -176,10 +176,10 @@ def _parity(values: np.ndarray, mask: int) -> np.ndarray:
 
 def _apply_pauli_raw(g: PauliOperator, amps: np.ndarray) -> np.ndarray:
     idx = np.arange(len(amps), dtype=np.int64)
-    y = (g.x.bits & g.z.bits).bit_count()
-    phase = g.sign * (1j ** y) * np.where(_parity(idx, g.z.bits), -1.0, 1.0)
+    y = (g.x & g.z).bit_count()
+    phase = g.sign * (1j ** y) * np.where(_parity(idx, g.z), -1.0, 1.0)
     out = np.empty_like(amps)
-    out[idx ^ g.x.bits] = phase * amps
+    out[idx ^ g.x] = phase * amps
     return out
 
 
@@ -196,7 +196,7 @@ def state_from_stabilizer(group: StabilizerGroup) -> DenseState:
     _check_oracle_size(n)
     b = _support_point(group)
     amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[b.bits] = 1.0
+    amps[b] = 1.0
     for g in group.generators:
         amps = (amps + _apply_pauli_raw(g, amps)) / 2.0
     norm = np.linalg.norm(amps)
@@ -204,19 +204,18 @@ def state_from_stabilizer(group: StabilizerGroup) -> DenseState:
     return DenseState(n, amps / norm)
 
 
-def _support_point(group: StabilizerGroup) -> BitVector:
+def _support_point(group: StabilizerGroup) -> int:
     """A basis state with nonzero amplitude: solve the Z-only constraints."""
-    xmat = BitMatrix(group.n, tuple(g.x for g in group.generators))
     rows, rhs = [], []
-    for c in nullspace(xmat.transpose()).rows:
+    for c in left_kernel([g.x for g in group.generators], group.n):
         g = group.product(c)
-        rows.append(g.z)
+        rows.append(BitVector(group.n, g.z))
         rhs.append(0 if g.sign == 1 else 1)
     if not rows:
-        return BitVector.zeros(group.n)
+        return 0
     sol = solve(BitMatrix(group.n, tuple(rows)), BitVector.from_bits(rhs))
     invariant(sol is not None, "inconsistent Z constraints in a valid group")
-    return sol
+    return sol.bits
 
 
 def stabilizer_from_quadratic_form(qf: QuadraticFormState) -> StabilizerGroup:
@@ -231,8 +230,8 @@ def stabilizer_from_quadratic_form(qf: QuadraticFormState) -> StabilizerGroup:
     for r, zmask in zip(rows, qf._polar_masks(rows)):
         phase = 2 * qf.q(r)  # (-1)^q(r) = i^(2 q(r))
         gens.append(PauliOperator.from_xz_phase(n, r, zmask, phase))
-    for v in nullspace(qf.basis).rows:
-        gens.append(PauliOperator(n, BitVector.zeros(n), v))
+    for v in nullspace(qf.basis).row_ints():
+        gens.append(PauliOperator(n, 0, v))
     return StabilizerGroup(n, gens)
 
 

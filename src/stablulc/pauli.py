@@ -1,8 +1,8 @@
 """Hermitian Pauli operators and stabilizer groups with exact signs.
 
-An operator is stored as (x | z) bit vectors plus a sign in {+1, -1};
-imaginary phases cannot be represented and multiplying anticommuting
-operators raises.  Stabilizer groups validate commutation and
+An operator is stored as packed x and z ints (bit i is qubit i) plus a
+sign in {+1, -1}; imaginary phases cannot be represented and multiplying
+anticommuting operators raises.  Stabilizer groups validate commutation and
 independence at construction, which also rules out -I as a product.
 """
 
@@ -12,8 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import FormatError, PreconditionError
-from .gf2 import (BitMatrix, BitVector, gray_steps, minimal_supports,
-                  nullspace, rank, symplectic_product)
+from .gf2 import Span, gray_steps, left_kernel, minimal_supports
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _LETTER_BITS = {v: k for k, v in _LETTERS.items()}
@@ -24,36 +23,36 @@ class PauliOperator:
     """sign * (tensor product of I/X/Y/Z letters) on n qubits."""
 
     n: int
-    x: BitVector
-    z: BitVector
+    x: int
+    z: int
     sign: int = 1
 
     def __post_init__(self):
-        if self.x.length != self.n or self.z.length != self.n:
-            raise ValueError("x/z length must equal n")
+        if min(self.n, self.x, self.z) < 0 or (self.x | self.z) >> self.n:
+            raise ValueError("x/z bits outside the n qubits")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
     @staticmethod
     def identity(n: int) -> "PauliOperator":
-        return PauliOperator(n, BitVector.zeros(n), BitVector.zeros(n))
+        return PauliOperator(n, 0, 0)
 
     @staticmethod
     def from_string(text: str) -> "PauliOperator":
         text = text.strip()
         sign = 1
-        if text[:1] in "+-−":
+        if text[:1] in ("+", "-", "−"):
             if text[0] != "+":
                 sign = -1
             text = text[1:]
         if not text or any(c not in "IXYZ" for c in text):
             raise ValueError(f"not a Pauli string: {text!r}")
-        bits = [_LETTER_BITS[c] for c in text]
-        return PauliOperator(
-            len(bits),
-            BitVector.from_bits([b[0] for b in bits]),
-            BitVector.from_bits([b[1] for b in bits]),
-            sign)
+        x = z = 0
+        for i, c in enumerate(text):
+            bx, bz = _LETTER_BITS[c]
+            x |= bx << i
+            z |= bz << i
+        return PauliOperator(len(text), x, z, sign)
 
     @staticmethod
     def from_xz_phase(n: int, x: int, z: int, phase_exp: int) -> "PauliOperator":
@@ -62,35 +61,39 @@ class PauliOperator:
         e = (phase_exp - y) % 4
         if e % 2:
             raise ValueError("operator has an imaginary phase")
-        return PauliOperator(n, BitVector(n, x), BitVector(n, z),
-                             1 if e == 0 else -1)
+        return PauliOperator(n, x, z, 1 if e == 0 else -1)
 
     def letter(self, i: int) -> str:
-        return _LETTERS[(self.x[i], self.z[i])]
+        return _LETTERS[((self.x >> i) & 1, (self.z >> i) & 1)]
 
     def support(self) -> tuple[int, ...]:
-        return BitVector(self.n, self.x.bits | self.z.bits).support()
+        m = self.x | self.z
+        return tuple(i for i in range(self.n) if (m >> i) & 1)
 
     def support_mask(self) -> int:
-        return self.x.bits | self.z.bits
+        return self.x | self.z
 
     def weight(self) -> int:
-        return (self.x.bits | self.z.bits).bit_count()
+        return (self.x | self.z).bit_count()
 
     def is_identity(self) -> bool:
-        return self.x.bits == 0 and self.z.bits == 0
+        return self.x == 0 and self.z == 0
 
-    def symplectic(self) -> BitVector:
-        """(x | z) as one vector of length 2n."""
-        return self.x.concat(self.z)
+    def symplectic(self) -> int:
+        """(x | z) packed into one 2n-bit int, z above x."""
+        return self.x | self.z << self.n
 
     def commutes_with(self, other: "PauliOperator") -> bool:
-        return symplectic_product(self.symplectic(), other.symplectic()) == 0
+        """Whether the symplectic form x1.z2 + z1.x2 vanishes mod 2."""
+        if self.n != other.n:
+            raise ValueError("qubit count mismatch")
+        return ((self.x & other.z).bit_count()
+                + (self.z & other.x).bit_count()) % 2 == 0
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
-        x1, z1, x2, z2 = self.x.bits, self.z.bits, other.x.bits, other.z.bits
+        x1, z1, x2, z2 = self.x, self.z, other.x, other.z
         x, z = x1 ^ x2, z1 ^ z2
         # Writing each factor as sign * i^y X^x Z^z and commuting Z^z1 past
         # X^x2 costs (-1)^(z1.x2); the y-counts rebalance the i's.
@@ -99,8 +102,7 @@ class PauliOperator:
         if e % 2:
             raise ValueError("product of anticommuting operators is not Hermitian")
         sign = self.sign * other.sign * (1 if e == 0 else -1)
-        return PauliOperator(self.n, BitVector(self.n, x), BitVector(self.n, z),
-                             sign)
+        return PauliOperator(self.n, x, z, sign)
 
     def to_string(self) -> str:
         body = "".join(self.letter(i) for i in range(self.n))
@@ -110,7 +112,7 @@ class PauliOperator:
         return self.to_string()
 
     def sort_key(self) -> tuple[int, int, int]:
-        return (self.x.bits, self.z.bits, 0 if self.sign == 1 else 1)
+        return (self.x, self.z, 0 if self.sign == 1 else 1)
 
 
 class StabilizerGroup:
@@ -129,11 +131,10 @@ class StabilizerGroup:
                 raise ValueError("generator qubit count mismatch")
             if g.is_identity():
                 raise ValueError("identity is not a valid generator")
-        rows = [g.symplectic() for g in self.generators]
-        for a, b in itertools.combinations(rows, 2):
-            if symplectic_product(a, b):
+        for a, b in itertools.combinations(self.generators, 2):
+            if not a.commutes_with(b):
                 raise ValueError("generators must commute")
-        if rows and rank(BitMatrix(2 * n, tuple(rows))) != len(rows):
+        if Span(g.symplectic() for g in self.generators).rank != self.dim:
             raise ValueError("generators must be independent over GF(2)")
 
     @property
@@ -156,38 +157,36 @@ class StabilizerGroup:
     def elements(self, cap: int | None = None) -> list[PauliOperator]:
         return list(self.enumerate_elements(cap))
 
-    def product(self, coeffs: BitVector) -> PauliOperator:
-        """Product of the generators selected by the coefficient vector."""
+    def product(self, coeffs: int) -> PauliOperator:
+        """Product of the generators selected by the bits of ``coeffs``."""
         g = PauliOperator.identity(self.n)
-        for i in coeffs.support():
-            g = g * self.generators[i]
+        for i, h in enumerate(self.generators):
+            if (coeffs >> i) & 1:
+                g = g * h
         return g
 
-    def _outside_matrix(self, omega) -> BitMatrix:
-        """Generators' (x | z) rows masked to coordinates outside omega."""
+    def _products(self, coeff_masks) -> "StabilizerGroup":
+        """The group generated by the products the masks select."""
+        return StabilizerGroup(self.n, [self.product(c) for c in coeff_masks])
+
+    def _outside_rows(self, omega) -> list[int]:
+        """Generators' packed (x | z) rows masked to qubits outside omega."""
         keep = 0
         for i in omega:
             if not 0 <= i < self.n:
                 raise ValueError(f"qubit {i} out of range")
             keep |= 1 << i
         comp = ((1 << self.n) - 1) & ~keep
-        rows = [BitVector(2 * self.n,
-                          (g.x.bits & comp) | ((g.z.bits & comp) << self.n))
-                for g in self.generators]
-        return BitMatrix(2 * self.n, tuple(rows))
+        return [(g.x & comp) | (g.z & comp) << self.n for g in self.generators]
 
     def supported_dim(self, omega) -> int:
         """dim of the subgroup of elements supported inside omega."""
-        if not self.generators:
-            return 0
-        return self.dim - rank(self._outside_matrix(omega))
+        return self.dim - Span(self._outside_rows(omega)).rank
 
     def subgroup_supported_in(self, omega) -> "StabilizerGroup":
         """The subgroup S_omega of elements with support inside omega."""
-        if not self.generators:
-            return StabilizerGroup(self.n, ())
-        coeffs = nullspace(self._outside_matrix(omega).transpose())
-        return StabilizerGroup(self.n, [self.product(c) for c in coeffs.rows])
+        return self._products(left_kernel(self._outside_rows(omega),
+                                          2 * self.n))
 
     def distance(self, cap: int | None = None) -> int:
         """Minimum weight over non-identity elements (enumerative)."""
@@ -235,16 +234,11 @@ class StabilizerGroup:
 
     def css_split(self) -> tuple["StabilizerGroup", "StabilizerGroup"] | None:
         """(X-type subgroup, Z-type subgroup) when they generate S, else None."""
-        if not self.generators:
-            return StabilizerGroup(self.n, ()), StabilizerGroup(self.n, ())
-        zmat = BitMatrix(self.n, tuple(g.z for g in self.generators))
-        xmat = BitMatrix(self.n, tuple(g.x for g in self.generators))
-        x_coeffs = nullspace(zmat.transpose())
-        z_coeffs = nullspace(xmat.transpose())
-        if x_coeffs.num_rows + z_coeffs.num_rows != self.dim:
+        x_coeffs = left_kernel([g.z for g in self.generators], self.n)
+        z_coeffs = left_kernel([g.x for g in self.generators], self.n)
+        if len(x_coeffs) + len(z_coeffs) != self.dim:
             return None
-        return tuple(StabilizerGroup(self.n, [self.product(c) for c in m.rows])
-                     for m in (x_coeffs, z_coeffs))
+        return self._products(x_coeffs), self._products(z_coeffs)
 
     def is_css(self) -> bool:
         return self.css_split() is not None

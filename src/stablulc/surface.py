@@ -21,11 +21,11 @@ from .pauli import PauliOperator, StabilizerGroup, format_witness
 
 
 def _x_on(n: int, bits: int) -> PauliOperator:
-    return PauliOperator(n, BitVector(n, bits), BitVector.zeros(n))
+    return PauliOperator(n, bits, 0)
 
 
 def _z_on(n: int, bits: int) -> PauliOperator:
-    return PauliOperator(n, BitVector.zeros(n), BitVector(n, bits))
+    return PauliOperator(n, 0, bits)
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,14 @@ def build_code(g: EmbeddedGraph) -> SurfaceCode:
     site_vertices = []
     for v in sorted(g.vertices):
         op = _x_on(n, g.star(v).bits)
-        if not op.is_identity() and span.add(op.symplectic().bits):
+        if not op.is_identity() and span.add(op.symplectic()):
             gens.append(op)
             site_vertices.append(v)
     face_rows = g.face_matrix().rows
     face_indices = []
     for i, row in enumerate(face_rows):
         op = _z_on(n, row.bits)
-        if not op.is_identity() and span.add(op.symplectic().bits):
+        if not op.is_identity() and span.add(op.symplectic()):
             gens.append(op)
             face_indices.append(i)
 
@@ -151,8 +151,9 @@ def z_only_centralizer_check(code: SurfaceCode):
     if cogirth < 2:
         raise PreconditionError("graph has a bridge")
     n = code.n
-    x_rows = BitMatrix(n, tuple(s.x for s in code.stabilizer.generators))
-    z_rows = BitMatrix(n, tuple(s.z for s in code.stabilizer.generators))
+    gens = code.stabilizer.generators
+    x_rows = BitMatrix(n, tuple(BitVector(n, s.x) for s in gens))
+    z_rows = BitMatrix(n, tuple(BitVector(n, s.z) for s in gens))
     cycles = g.cycle_space()
     dual_cycles = g.dual().cycle_space()   # same sorted edge labels
     for s in nullspace(x_rows).rows:
@@ -181,9 +182,9 @@ class MinimalDecomposition:
         for p in self.parts:
             union |= p.support_mask()
             if self.kind == "site":
-                invariant(p.z.is_zero(), "site parts must be X-only")
+                invariant(not p.z, "site parts must be X-only")
             else:
-                invariant(p.x.is_zero(), "face parts must be Z-only")
+                invariant(not p.x, "face parts must be Z-only")
         invariant(union == self.operator.support_mask(),
                   "parts do not cover the operator's support")
         invariant(all(c == 1 for c in self.uniqueness_counts),
@@ -215,7 +216,7 @@ def _peel_minimal(group: StabilizerGroup, op: PauliOperator, want_x: bool,
         omega = remainder.support()
         sub = group.subgroup_supported_in(omega)
         pool = [h for h in sub.minimal_elements(cap)
-                if (h.z.is_zero() if want_x else h.x.is_zero())]
+                if not (h.z if want_x else h.x)]
         if not pool:
             raise PreconditionError(
                 f"no pure-type minimal element inside {omega}")
@@ -393,9 +394,9 @@ def transversal_clifford_conclusion(code: SurfaceCode,
             reports.append(rep)
             if rep.fixed_elements:
                 h = rep.fixed_elements[0]
-                if h.z.is_zero():
+                if not h.z:
                     x_cover |= h.support_mask()
-                if h.x.is_zero():
+                if not h.x:
                     z_cover |= h.support_mask()
     forced = tuple(bool((x_cover >> j) & 1 and (z_cover >> j) & 1)
                    for j in range(code.n))
@@ -412,8 +413,7 @@ def graph_state_group(num_vertices: int, edges) -> StabilizerGroup:
             raise ValueError(f"bad edge ({u}, {v})")
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
-    gens = [PauliOperator(num_vertices, BitVector(num_vertices, 1 << v),
-                          BitVector(num_vertices, nbr[v]))
+    gens = [PauliOperator(num_vertices, 1 << v, nbr[v])
             for v in range(num_vertices)]
     return StabilizerGroup(num_vertices, gens)
 
@@ -473,7 +473,7 @@ def grid_minimality_certificate(rows: int, cols: int,
     for v, kv in enumerate(group.generators):
         kv_mask = kv.support_mask()
         nbar = StabilizerGroup(n, [group.generators[u] for u in range(n)
-                                   if u == v or kv.z[u]])
+                                   if u == v or (kv.z >> u) & 1])
         for h in nbar.enumerate_elements(cap):
             m = h.support_mask()
             if m and m != kv_mask and m & kv_mask == m:

@@ -78,8 +78,8 @@ def _support_census(group) -> Counter:
     Walks the same Gray order as the enumeration in the library but never
     touches the Pauli product, so it cross-checks rather than echoes it.
     """
-    xs = [g.x.bits for g in group.generators]
-    zs = [g.z.bits for g in group.generators]
+    xs = [g.x for g in group.generators]
+    zs = [g.z for g in group.generators]
     census: Counter = Counter({0: 1})
     cur_x = cur_z = 0
     for m in range(1, 1 << len(xs)):

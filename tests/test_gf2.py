@@ -4,14 +4,14 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stablulc.errors import FormatError
 from stablulc.gf2 import (BitMatrix, BitVector, Mod4Eliminator, Span,
-                          format_matrix, invert, nullspace, parse_matrix,
-                          rank, row_space_contains, rref, solve,
-                          symplectic_product)
+                          format_matrix, invert, left_kernel, nullspace,
+                          parse_matrix, rank, row_space_contains, rref,
+                          solve)
 
 
 @st.composite
@@ -141,20 +141,18 @@ def test_span_matches_rref_rank(m):
         assert sp.contains(row.bits)
 
 
-def test_symplectic_product_values():
-    # single-qubit (x|z) layouts: X = 10, Z = 01, Y = 11
-    x, z, y = (BitVector.from_bits(b) for b in ((1, 0), (0, 1), (1, 1)))
-    assert symplectic_product(x, x) == 0
-    assert symplectic_product(x, z) == 1
-    assert symplectic_product(y, x) == 1
-    assert symplectic_product(y, y) == 0
-
-
-@given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
-def test_symplectic_product_is_bilinear(a, b, c):
-    va, vb, vc = BitVector(4, a), BitVector(4, b), BitVector(4, c)
-    assert (symplectic_product(va ^ vb, vc)
-            == (symplectic_product(va, vc) + symplectic_product(vb, vc)) % 2)
+@given(matrices())
+@example(BitMatrix(3, ()))
+@example(BitMatrix.identity(4))
+def test_left_kernel_matches_transposed_nullspace(m):
+    kernel = left_kernel(m.row_ints(), m.cols)
+    assert kernel == nullspace(m.transpose()).row_ints()
+    for c in kernel:
+        acc = 0
+        for i, r in enumerate(m.row_ints()):
+            if (c >> i) & 1:
+                acc ^= r
+        assert acc == 0
 
 
 # -- Z4 elimination ------------------------------------------------------------

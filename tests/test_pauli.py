@@ -42,7 +42,7 @@ def random_group(rng: random.Random, n: int) -> StabilizerGroup:
     flip = [rng.random() < 0.5 for _ in range(n)]
     gens = []
     for g in group.generators:
-        xb, zb = g.x.bits, g.z.bits
+        xb, zb = g.x, g.z
         nx, nz = 0, 0
         for i in range(n):
             xi, zi = (xb >> i) & 1, (zb >> i) & 1
@@ -90,6 +90,22 @@ def test_commutation():
     assert not P("X").commutes_with(P("Z"))
     assert P("XX").commutes_with(P("ZZ"))
     assert P("Y").commutes_with(P("Y"))
+
+
+@given(*[st.integers(0, 3)] * 6)
+def test_commutation_form_is_bilinear(ax, az, bx, bz, cx, cz):
+    a, b = PauliOperator(2, ax, az), PauliOperator(2, bx, bz)
+    c = PauliOperator(2, cx, cz)
+    ab = PauliOperator(2, ax ^ bx, az ^ bz)
+    assert (ab.commutes_with(c)
+            == (a.commutes_with(c) == b.commutes_with(c)))
+
+
+@pytest.mark.parametrize("text", ["", "   ", "+", "XQ"],
+                         ids=["empty", "blank", "sign-only", "bad-letter"])
+def test_from_string_rejects_non_pauli_text(text):
+    with pytest.raises(ValueError, match="not a Pauli string"):
+        P(text)
 
 
 # -- group construction and enumeration -------------------------------------------
