@@ -279,8 +279,8 @@ class CounterexampleSeed:
         first, second = self.members()
         return verify_dlu_pair(first, second, self.dlu, tol)
 
-    def dlc_status(self, cap: int | None = None):
-        return dlc_feasible(QuadraticFormState(self.basis, self.coeffs), cap)
+    def dlc_status(self):
+        return dlc_feasible(QuadraticFormState(self.basis, self.coeffs))
 
 
 def encode_pair(seed: CounterexampleSeed, j: int, code: CssCode,

@@ -259,19 +259,33 @@ def equal_up_to_global_phase(a: DenseState, b: DenseState,
     return bool(np.max(np.abs(a.amplitudes * phase - b.amplitudes)) <= tol)
 
 
-def dlc_feasible(qf: QuadraticFormState,
-                 cap: int | None = None) -> list[int] | None:
+def dlc_feasible(qf: QuadraticFormState) -> list[int] | None:
     """Diagonal-local-Clifford feasibility of (S, 0) vs (S, q).
 
     Searches for a in Z4^n with sum_j a_j x_j = 2 q(x) (mod 4) for every
-    x in S.  The full subspace is enumerated because the mod-4 carries
-    make generator-level equations insufficient.  Returns an assignment
-    or None (exact infeasibility).
+    x in S.  Write g(x) = sum_j a_j x_j - 2 q(x) mod 4.  Since
+    [x + y]_j = x_j + y_j - 2 x_j y_j over the integers,
+    g(x + y) = g(x) + g(y) - 2 beta(x, y) with
+    beta(x, y) = sum_j (a_j mod 2) x_j y_j + B(x, y) bilinear mod 2 and B
+    the polarization of q.  g = 0 at the basis rows b_i forces
+    beta(b_i, b_i) = 0, and g = 0 at b_i + b_j then forces
+    beta(b_i, b_j) = 0, so beta vanishes on S and g is additive there.
+    Hence the k(k+1)/2 equations at the basis rows and their pairwise
+    sums are equivalent to all 2^k.  Returns an assignment or None
+    (exact infeasibility).
     """
+    rows = qf.basis.row_ints()
+    row_q = [qf.q(r) for r in rows]
+    polar = qf._polar_masks(rows)
     elim = Mod4Eliminator(qf.n)
-    for bits, qx in qf.elements(cap):
-        if bits and not elim.add(bits, 2 * qx):
+    for i, (r, qr, p) in enumerate(zip(rows, row_q, polar)):
+        if not elim.add(r, 2 * qr):
             return None
+        for j in range(i):
+            # q(b_i + b_j) = q(b_i) + q(b_j) + B(b_j, b_i).
+            qij = qr ^ row_q[j] ^ ((rows[j] & p).bit_count() & 1)
+            if not elim.add(r ^ rows[j], 2 * qij):
+                return None
     return elim.solution()
 
 
@@ -320,7 +334,7 @@ def parse_quadratic_form(text: str) -> QuadraticFormState:
         raise FormatError(f"expected qubit count, got {header!r}", lineno)
     n = int(header)
     rows: list[BitVector] = []
-    coeffs = set()
+    coeffs: dict[tuple[int, int], int] = {}   # pair -> line it was read on
     mode = "basis"
     for lineno, line in lines[1:]:
         if line == "q:":
@@ -338,9 +352,16 @@ def parse_quadratic_form(text: str) -> QuadraticFormState:
             if len(parts) != 2 or not all(p.isdigit() for p in parts):
                 raise FormatError(f"expected 'i j' pair, got {line!r}", lineno)
             i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            if not (0 <= i < j < n):
+            if not (0 <= i < n and 0 <= j < n):
                 raise FormatError(f"pair out of range: {line!r}", lineno)
-            coeffs.add((i, j))
+            if i >= j:
+                raise FormatError(f"pair must have i < j, got {line!r}",
+                                  lineno)
+            # Over GF(2) two copies of x_i x_j cancel; a repeat is an error.
+            if (i, j) in coeffs:
+                raise FormatError(f"duplicate pair {line!r} (first on line"
+                                  f" {coeffs[i, j]})", lineno)
+            coeffs[i, j] = lineno
     try:
         return QuadraticFormState(BitMatrix(n, tuple(rows)), frozenset(coeffs))
     except ValueError as exc:

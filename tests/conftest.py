@@ -47,6 +47,29 @@ def random_embedded_graph(rng: random.Random, max_vertices: int = 5,
     return EmbeddedGraph(vertices, edges, rotations)
 
 
+def feasible_form(rng: random.Random, n: int, k: int) -> QuadraticFormState:
+    """A DLC-feasible form, n qubits and k basis rows, built without a solver.
+
+    Column c of the basis holds a linear form cols[c] of the k coordinates;
+    the first k columns are the coordinates, so the rows are independent.
+    Each q term x_i x_j comes with a column l where x_l = x_i + x_j, and
+    over the integers 2 x_i x_j = x_i + x_j - x_l, so 2q is linear on S.
+    """
+    cols = [1 << r for r in range(k)]
+    pairs = set()
+    while len(cols) < n:
+        pair = tuple(sorted(rng.sample(range(len(cols)), 2))) if k > 1 else ()
+        if pair and pair not in pairs and rng.random() < 0.6:
+            pairs.add(pair)
+            cols.append(cols[pair[0]] ^ cols[pair[1]])
+        else:
+            cols.append(rng.randrange(1, 1 << k))
+    rows = tuple(
+        BitVector(n, sum(((f >> r) & 1) << c for c, f in enumerate(cols)))
+        for r in range(k))
+    return QuadraticFormState(BitMatrix(n, rows), frozenset(pairs))
+
+
 def random_feasible_seed(rng: random.Random, n: int) -> CounterexampleSeed:
     """A random DLC-feasible pair with the witness Clifford as its DLU."""
     while True:

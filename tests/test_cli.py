@@ -1,16 +1,19 @@
 """End-to-end command-line behavior: outputs, exit codes, byte stability."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
+from conftest import feasible_form
 from stablulc.cli import main
 from stablulc.embedding import complete_graph, double_edge, format_graph, toric_grid
 from stablulc.factory import (CounterexampleSeed, format_css_code,
                               format_seed, parse_seed, rep2)
 from stablulc.gf2 import BitMatrix, BitVector, format_matrix, nullspace, rref
 from stablulc.matroid import BinaryMatroid, format_matroid
-from stablulc.oracle import DiagonalLocalUnitary
+from stablulc.oracle import DiagonalLocalUnitary, format_quadratic_form
 from stablulc.pauli import format_stabilizer
 from stablulc.surface import graph_state_group, grid_cluster_state
 
@@ -249,6 +252,48 @@ def test_dlc_check(files, capsys):
 
     code, out, _ = run(capsys, "dlc-check", files["cz.qf"])
     assert code == 2 and out == "INFEASIBLE\n"
+
+
+def _span(rows):
+    out = np.zeros(1, dtype=np.int64)
+    for r in rows:
+        out = np.concatenate([out, out ^ r])
+    return out
+
+
+def _witness_holds_on_span(qf, a):
+    """sum_j a_j x_j = 2 q(x) (mod 4) at every x in S, in chunks of S."""
+    ones = sum(1 << j for j, v in enumerate(a) if v & 1)
+    twos = sum(1 << j for j, v in enumerate(a) if v & 2)
+    rows = qf.basis.row_ints()
+    low = _span(rows[:12])
+    for high in _span(rows[12:]).tolist():
+        x = low ^ high
+        q = np.zeros_like(x)
+        for i, j in qf.coeffs:
+            q ^= (x >> i) & (x >> j) & 1
+        lin = (np.bitwise_count(x & ones).astype(np.int64)
+               + 2 * np.bitwise_count(x & twos).astype(np.int64))
+        if np.any((lin - 2 * q) % 4):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("cap", [None, "4"])
+def test_dlc_check_decides_past_the_enumeration_cap(files, capsys,
+                                                    monkeypatch, cap):
+    # 2^24 subspace elements exceed the default cap of 2^20; the decision
+    # enumerates nothing, so no cap applies to it.
+    if cap is not None:
+        monkeypatch.setenv("STABLULC_ENUM_CAP", cap)
+    qf = feasible_form(random.Random(24), 40, 24)
+    path = files["dir"] / "k24.qf"
+    path.write_text(format_quadratic_form(qf), encoding="ascii")
+    code, out, _ = run(capsys, "dlc-check", str(path))
+    assert code == 0 and out.startswith("FEASIBLE assignment=")
+    a = [int(v) for v in out.split("=", 1)[1].split(",")]
+    assert len(a) == 40 and set(a) <= {0, 1, 2, 3}
+    assert _witness_holds_on_span(qf, a)
 
 
 # -- harness behavior ----------------------------------------------------------------

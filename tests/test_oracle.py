@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import feasible_form
 from stablulc.errors import FormatError, PreconditionError
-from stablulc.gf2 import BitMatrix, BitVector, rref
+from stablulc.gf2 import BitMatrix, BitVector, Mod4Eliminator, rref
 from stablulc.oracle import (DenseState, DiagonalLocalUnitary,
                              QuadraticFormState, apply_dlu, apply_pauli,
                              dlc_assignment_to_dlu,
@@ -127,6 +128,33 @@ def test_dlc_assignment_verifies_on_the_oracle(qf):
     assert verify_dlu_pair(zero, qf, u)
 
 
+def _walk_dlc(qf: QuadraticFormState):
+    """Every subspace element into the Z4 eliminator, as a 2^k reference."""
+    elim = Mod4Eliminator(qf.n)
+    for bits, qx in qf.elements():
+        if bits and not elim.add(bits, 2 * qx):
+            return None
+    return elim.solution()
+
+
+@st.composite
+def feasible_states(draw, max_n=10):
+    n = draw(st.integers(2, max_n))
+    k = draw(st.integers(1, n))
+    return feasible_form(draw(st.randoms(use_true_random=False)), n, k)
+
+
+@given(st.one_of(quadratic_states(max_n=10), feasible_states()))
+@settings(deadline=None, max_examples=400)
+def test_dlc_feasible_matches_the_full_subspace_walk(qf):
+    got = dlc_feasible(qf)
+    assert (got is None) == (_walk_dlc(qf) is None)
+    if got is not None:
+        for bits, qx in qf.elements():
+            total = sum(got[j] for j in BitVector(qf.n, bits).support())
+            assert (total - 2 * qx) % 4 == 0
+
+
 def test_edge_graph_pair_is_infeasible():
     # S = F2^2 with q = x0 x1: the controlled-Z pair, provably not DLC
     basis = BitMatrix(2, (BitVector(2, 0b01), BitVector(2, 0b10)))
@@ -181,3 +209,16 @@ def test_parse_quadratic_form_diagnostics():
     # q pairs are 1-based; i == j is rejected
     with pytest.raises(FormatError):
         parse_quadratic_form("2\n11\nq:\n1 1\n")
+
+
+def test_parse_quadratic_form_rejects_a_repeated_pair():
+    # Two copies of x_1 x_2 cancel over GF(2), so a repeat is not one term.
+    with pytest.raises(FormatError, match=r"line 5: duplicate pair '1 2'"
+                                          r" \(first on line 4\)"):
+        parse_quadratic_form("3\n111\nq:\n1 2\n1 2\n")
+
+
+def test_parse_quadratic_form_requires_i_below_j():
+    with pytest.raises(FormatError, match=r"line 4: pair must have i < j,"
+                                          r" got '2 1'"):
+        parse_quadratic_form("2\n11\nq:\n2 1\n")
