@@ -405,15 +405,16 @@ def length_plan(n: int, allow_rep: bool = True) -> LengthPlan | None:
         return None
     best = None
     rest = n - BASE_LENGTH
-    for i in range(rest // STEP_15 + 1):
-        for j in range((rest - STEP_15 * i) // STEP_31 + 1):
-            t = rest - STEP_15 * i - STEP_31 * j
-            if t and not allow_rep:
-                continue
-            key = (i + j + t, t, j)
-            if best is None or key < best[0]:
-                best = (key, LengthPlan(i, j, t, n))
-    return best[1] if best else None
+    for j in range(rest // STEP_31 + 1):
+        # For a fixed j the encoding count i + j + t = rest - 13 i - 29 j
+        # and t both fall as i grows, so only the largest i can win.
+        i, t = divmod(rest - STEP_31 * j, STEP_15)
+        if t and not allow_rep:
+            continue
+        key = (i + j + t, t, j)
+        if best is None or key < best[0]:
+            best = (key, i, j, t)
+    return LengthPlan(*best[1:], n) if best else None
 
 
 def reachable_without_rep(n: int) -> bool:

@@ -303,6 +303,29 @@ def test_plan_minimizes_encoding_count(n):
     assert plan.i + plan.j + plan.t == best
 
 
+def _plan_by_double_loop(n, allow_rep):
+    """The (i, j, t) of the smallest key (i + j + t, t, j), by trying every
+    i and j: the reference for length_plan's one loop over j."""
+    rest = n - BASE_LENGTH
+    keys = [(i + j + t, t, j, i)
+            for i in range(rest // 14 + 1)
+            for j in range((rest - 14 * i) // 30 + 1)
+            for t in [rest - 14 * i - 30 * j]
+            if allow_rep or not t]
+    if rest < 0 or not keys:
+        return None
+    _, t, j, i = min(keys)
+    return (i, j, t)
+
+
+@pytest.mark.parametrize("allow_rep", [True, False])
+def test_plan_matches_the_double_loop(allow_rep):
+    for n in range(0, 700):
+        plan = length_plan(n, allow_rep)
+        got = None if plan is None else (plan.i, plan.j, plan.t)
+        assert got == _plan_by_double_loop(n, allow_rep), n
+
+
 def test_enumerate_lengths():
     plans = enumerate_lengths(60)
     assert [p.n for p in plans] == list(range(27, 61))

@@ -89,6 +89,20 @@ def test_apply_dlu_matrix_semantics():
     assert np.allclose(state.amplitudes, [0.5, 0.5j, -0.5, -0.5j])
 
 
+@settings(max_examples=60)
+@given(st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_apply_dlu_matches_per_element_phases(thetas, seed):
+    n = len(thetas)
+    gen = np.random.default_rng(seed)
+    amps = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+    amps /= np.linalg.norm(amps)
+    out = apply_dlu(DiagonalLocalUnitary(tuple(thetas)), DenseState(n, amps))
+    for x in range(1 << n):
+        angle = sum(t for j, t in enumerate(thetas) if x >> j & 1)
+        assert abs(out.amplitudes[x] - amps[x] * np.exp(1j * angle)) < 1e-12
+
+
 def test_equal_up_to_global_phase():
     a = DenseState(1, np.array([1, 1]) / math.sqrt(2))
     b = DenseState(1, np.exp(1j * 0.7) * a.amplitudes)
